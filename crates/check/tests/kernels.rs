@@ -10,7 +10,7 @@
 #![cfg(feature = "model")]
 
 use std::sync::Arc;
-use typhoon_check::kernels::{batch, checkpoint, election, recovery, ring, tunnel};
+use typhoon_check::kernels::{batch, checkpoint, drain, election, recovery, ring, tunnel};
 use typhoon_check::sync::{thread, Mutex};
 use typhoon_check::{Checker, Replay};
 
@@ -234,6 +234,28 @@ fn election_two_candidates_fixed_logic_passes() {
         .check("election-two-candidates/fixed", || {
             election::two_candidate_scenario(true)
         })
+        .assert_ok();
+}
+
+// ------------------------------------------------- stable-update drain
+
+#[test]
+fn drain_bounded_wait_kill_is_found_on_prefix_logic() {
+    let failure = Checker::default()
+        .check("drain-scale-in/prefix", || drain::scale_in_scenario(false))
+        .expect_failure();
+    println!("found the kill-before-drain loss:\n{failure}");
+    assert!(
+        failure.message.contains("lost a tuple"),
+        "unexpected failure: {}",
+        failure.message
+    );
+}
+
+#[test]
+fn drain_marker_fence_fixed_logic_passes() {
+    Checker::default()
+        .check("drain-scale-in/fixed", || drain::scale_in_scenario(true))
         .assert_ok();
 }
 

@@ -6,7 +6,7 @@
 
 #![cfg(not(feature = "model"))]
 
-use typhoon_check::kernels::{batch, checkpoint, election, recovery, ring, tunnel};
+use typhoon_check::kernels::{batch, checkpoint, drain, election, recovery, ring, tunnel};
 
 const RUNS: usize = 200;
 
@@ -49,6 +49,13 @@ fn tunnel_first_cause_fixed_stress() {
 fn checkpoint_snapshot_fixed_stress() {
     for _ in 0..RUNS {
         checkpoint::snapshot_fold_scenario(true);
+    }
+}
+
+#[test]
+fn drain_scale_in_fixed_stress() {
+    for _ in 0..RUNS {
+        drain::scale_in_scenario(true);
     }
 }
 

@@ -4,8 +4,9 @@
 //! dedicated stream IDs and carry reconfiguration payloads in their value
 //! list (§3.3.2). They are injected by the SDN controller through
 //! `PacketOut` messages and consumed by the worker framework layer; only
-//! `METRIC_RESP` travels the other way (worker → controller via
-//! `PacketIn`).
+//! `METRIC_RESP` and `FENCE` replies travel the other way (worker →
+//! controller via `PacketIn`). The one worker → worker control tuple is
+//! the `DRAIN` marker, which rides the data path on purpose.
 
 use typhoon_model::{Grouping, TaskId};
 use typhoon_tuple::tuple::TupleMeta;
@@ -69,6 +70,29 @@ pub enum ControlTuple {
     /// re-fold the replays that would have regenerated them; the snapshot
     /// re-emission re-converges latest-wins consumers.
     Restate,
+    /// `FENCE` (stable update, §3.5): acknowledge with a
+    /// [`ControlTuple::FenceReply`] once a `DRAIN` marker has been seen
+    /// from every task in `after`. With `after` empty the fence only
+    /// orders: the worker has handled every control tuple sent before it.
+    Fence {
+        /// Correlation ID echoed in the reply.
+        request_id: u64,
+        /// Predecessors whose drain markers must arrive first.
+        after: Vec<TaskId>,
+    },
+    /// The worker's answer to a [`ControlTuple::Fence`]. It shares the
+    /// `FENCE` stream: the request carries a task list, the reply a task.
+    FenceReply {
+        /// Correlation ID from the request.
+        request_id: u64,
+        /// Responding task.
+        task: TaskId,
+    },
+    /// `DRAIN` marker: sent worker → worker by a predecessor that dropped
+    /// the receiver from a unicast route, behind the last tuple it sent
+    /// there. Per (source, destination) the path is FIFO, so nothing from
+    /// the source follows it.
+    Drain,
 }
 
 impl ControlTuple {
@@ -85,6 +109,8 @@ impl ControlTuple {
             ControlTuple::BatchSize { .. } => StreamId::CTRL_BATCH_SIZE,
             ControlTuple::Replay => StreamId::CTRL_REPLAY,
             ControlTuple::Restate => StreamId::CTRL_RESTATE,
+            ControlTuple::Fence { .. } | ControlTuple::FenceReply { .. } => StreamId::CTRL_FENCE,
+            ControlTuple::Drain => StreamId::CTRL_DRAIN,
         }
     }
 
@@ -127,7 +153,8 @@ impl ControlTuple {
             | ControlTuple::Activate
             | ControlTuple::Deactivate
             | ControlTuple::Replay
-            | ControlTuple::Restate => vec![],
+            | ControlTuple::Restate
+            | ControlTuple::Drain => vec![],
             ControlTuple::MetricReq { request_id } => vec![Value::Int(*request_id as i64)],
             ControlTuple::MetricResp {
                 request_id,
@@ -147,6 +174,13 @@ impl ControlTuple {
                 vec![Value::Int(*tuples_per_sec as i64)]
             }
             ControlTuple::BatchSize { size } => vec![Value::Int(*size as i64)],
+            ControlTuple::Fence { request_id, after } => vec![
+                Value::Int(*request_id as i64),
+                Value::List(after.iter().map(|t| Value::Int(t.0 as i64)).collect()),
+            ],
+            ControlTuple::FenceReply { request_id, task } => {
+                vec![Value::Int(*request_id as i64), Value::Int(task.0 as i64)]
+            }
         };
         Tuple {
             meta: TupleMeta {
@@ -243,6 +277,24 @@ impl ControlTuple {
             }),
             StreamId::CTRL_REPLAY => Some(ControlTuple::Replay),
             StreamId::CTRL_RESTATE => Some(ControlTuple::Restate),
+            StreamId::CTRL_FENCE => {
+                let request_id = v.first()?.as_int()? as u64;
+                match v.get(1)? {
+                    Value::List(items) => Some(ControlTuple::Fence {
+                        request_id,
+                        after: items
+                            .iter()
+                            .map(|i| i.as_int().map(|n| TaskId(n as u32)))
+                            .collect::<Option<_>>()?,
+                    }),
+                    Value::Int(task) => Some(ControlTuple::FenceReply {
+                        request_id,
+                        task: TaskId(*task as u32),
+                    }),
+                    _ => None,
+                }
+            }
+            StreamId::CTRL_DRAIN => Some(ControlTuple::Drain),
             _ => None,
         }
     }
@@ -293,6 +345,7 @@ mod tests {
         roundtrip(ControlTuple::Deactivate);
         roundtrip(ControlTuple::Replay);
         roundtrip(ControlTuple::Restate);
+        roundtrip(ControlTuple::Drain);
         roundtrip(ControlTuple::InputRate {
             tuples_per_sec: 5000,
         });
@@ -306,6 +359,22 @@ mod tests {
             request_id: 77,
             task: TaskId(4),
             metrics: vec![("queue.depth".into(), 120), ("tuples.emitted".into(), 9000)],
+        });
+    }
+
+    #[test]
+    fn roundtrip_fences() {
+        roundtrip(ControlTuple::Fence {
+            request_id: 9,
+            after: vec![TaskId(2), TaskId(3)],
+        });
+        roundtrip(ControlTuple::Fence {
+            request_id: 10,
+            after: vec![],
+        });
+        roundtrip(ControlTuple::FenceReply {
+            request_id: 9,
+            task: TaskId(4),
         });
     }
 

@@ -25,6 +25,15 @@ use typhoon_switch::ControlChannel;
 use typhoon_tuple::ser::{encode_tuple_vec, SerStats};
 use typhoon_tuple::Tuple;
 
+/// The process-wide xid counter (see `Controller::next_xid`).
+static NEXT_XID: AtomicU32 = AtomicU32::new(1);
+
+/// How long a fence waiter blocks on its reply channel between pumps.
+const FENCE_POLL: Duration = Duration::from_micros(100);
+
+/// Messages a fence waiter pumps per host between reply checks.
+const PUMP_BUDGET: usize = 64;
+
 /// One connected switch: its host, datapath ID and control channel.
 #[derive(Debug, Clone)]
 pub struct SwitchBinding {
@@ -43,10 +52,11 @@ struct CtlInner {
     port_stats: Mutex<HashMap<HostId, Vec<PortStats>>>,
     flow_stats: Mutex<HashMap<HostId, Vec<FlowStats>>>,
     depacketizers: Mutex<HashMap<HostId, Depacketizer>>,
-    barrier_waiters: Mutex<HashMap<u32, crossbeam::channel::Sender<()>>>,
+    /// Waiters for barrier replies and fence replies, keyed by the xid the
+    /// request carried; the reply handler sends the xid back.
+    barrier_waiters: Mutex<HashMap<u32, crossbeam::channel::Sender<u32>>>,
     ser: Arc<SerStats>,
     packetizer: Packetizer,
-    next_xid: AtomicU32,
     shutdown: AtomicBool,
     /// HA write-through: successful rule sends are recorded here so a
     /// successor leader can re-install them (None outside an HA plane).
@@ -104,11 +114,15 @@ impl Controller {
                 ),
                 ser: SerStats::shared(),
                 packetizer: Packetizer::default(),
-                next_xid: AtomicU32::new(1),
                 shutdown: AtomicBool::new(false),
                 ledger,
             }),
         }
+    }
+
+    /// True when both handles are the same controller replica.
+    pub fn is_same(&self, other: &Controller) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// The coordinator-backed global state (Table 1).
@@ -224,7 +238,7 @@ impl Controller {
     /// spawned controller loop or this caller) — a waiter registry routes
     /// it back here either way.
     pub fn sync_switch(&self, host: HostId, timeout: Duration) -> bool {
-        let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
+        let xid = self.next_xid();
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.inner.barrier_waiters.lock().insert(xid, tx);
         if !self.send_to_switch(host, &OfMessage::Barrier { xid }) {
@@ -246,16 +260,122 @@ impl Controller {
         }
     }
 
+    /// A fresh request xid. Xids are unique across every controller in
+    /// the process, not per replica: a fence reply a headless switch
+    /// queued for a deposed leader is replayed to its successor, and must
+    /// not complete one of the successor's own waiters.
+    fn next_xid(&self) -> u32 {
+        NEXT_XID.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Wakes whoever awaits the barrier or fence reply `xid`.
+    fn complete_waiter(&self, xid: u32) {
+        let waiter = self.inner.barrier_waiters.lock().remove(&xid);
+        if let Some(tx) = waiter {
+            // Every waiter channel has room for all of its xids.
+            let _ = tx.try_send(xid);
+        }
+    }
+
+    /// Fences workers (stable update, §3.5): sends every `(task, host,
+    /// after)` a `FENCE` by `PacketOut`, all before awaiting any, so the
+    /// waits overlap. The host is explicit because a worker being retired
+    /// has already left the global physical topology. A worker answers
+    /// once it has handled every control tuple sent to it before the fence
+    /// and has seen a `DRAIN` marker from each task in `after`. The replies
+    /// come back by `PacketIn` and reuse the barrier waiter registry, so
+    /// either pumping thread can deliver them.
+    ///
+    /// Returns the tasks that did not answer within `timeout`. A task whose
+    /// switch this replica no longer holds (it was deposed mid-wait) is
+    /// returned at once, so the caller can re-issue it through the
+    /// successor.
+    pub fn fence_workers(
+        &self,
+        app: AppId,
+        fences: Vec<(TaskId, HostId, Vec<TaskId>)>,
+        timeout: Duration,
+    ) -> Vec<TaskId> {
+        let deadline = Instant::now() + timeout;
+        let (tx, rx) = crossbeam::channel::bounded(fences.len().max(1));
+        let mut unanswered = Vec::new();
+        let mut pending: HashMap<u32, (TaskId, HostId)> = HashMap::new();
+        for (task, host, after) in fences {
+            let xid = self.next_xid();
+            self.inner.barrier_waiters.lock().insert(xid, tx.clone());
+            let fence = ControlTuple::Fence {
+                request_id: u64::from(xid),
+                after,
+            };
+            if self.send_control_at(app, task, host, &fence) {
+                pending.insert(xid, (task, host));
+            } else {
+                self.inner.barrier_waiters.lock().remove(&xid);
+                unanswered.push(task);
+            }
+        }
+        while !pending.is_empty() {
+            // Pump ourselves too, so fencing works without a spawned loop.
+            let mut hosts: Vec<HostId> = pending.values().map(|&(_, h)| h).collect();
+            hosts.sort_unstable();
+            hosts.dedup();
+            for host in hosts {
+                for _ in 0..PUMP_BUDGET {
+                    if !self.pump_once(host) {
+                        break;
+                    }
+                }
+            }
+            while let Ok(xid) = rx.try_recv() {
+                pending.remove(&xid);
+            }
+            let expired = Instant::now() > deadline;
+            let give_up: Vec<u32> = {
+                let switches = self.inner.switches.read();
+                pending
+                    .iter()
+                    .filter(|(_, (_, host))| expired || !switches.contains_key(host))
+                    .map(|(&xid, _)| xid)
+                    .collect()
+            };
+            for xid in give_up {
+                self.inner.barrier_waiters.lock().remove(&xid);
+                if let Some((task, _)) = pending.remove(&xid) {
+                    unanswered.push(task);
+                }
+            }
+            if !pending.is_empty() {
+                if let Ok(xid) = rx.recv_timeout(FENCE_POLL) {
+                    pending.remove(&xid);
+                }
+            }
+        }
+        unanswered
+    }
+
     /// Injects a control tuple to one worker via `PacketOut` (§3.4).
     pub fn send_control(&self, app: AppId, task: TaskId, ct: &ControlTuple) -> bool {
-        let physical = match self.find_physical_for_task(app, task) {
-            Some(p) => p,
+        let host = match self
+            .find_physical_for_task(app, task)
+            .and_then(|p| p.assignment(task).map(|a| a.host))
+        {
+            Some(h) => h,
             None => return false,
         };
-        let assignment = match physical.assignment(task) {
-            Some(a) => a.clone(),
-            None => return false,
-        };
+        self.send_control_at(app, task, host, ct)
+    }
+
+    /// Injects a control tuple to a worker on a known host. Unlike
+    /// [`Controller::send_control`] it also reaches a worker that has left
+    /// the global physical topology but still runs: a stable update's
+    /// removals, whose control rules stay until they are killed.
+    pub fn send_control_at(
+        &self,
+        app: AppId,
+        task: TaskId,
+        host: HostId,
+        ct: &ControlTuple,
+    ) -> bool {
         let tuple = ct.to_tuple(CONTROLLER_TASK);
         let blob = Bytes::from(encode_tuple_vec(&tuple, &self.inner.ser));
         let dst = MacAddr::worker(app.0, task);
@@ -265,7 +385,7 @@ impl Controller {
                 .pack(MacAddr::CONTROLLER, dst, std::slice::from_ref(&blob));
         for frame in frames {
             let ok = self.send_to_switch(
-                assignment.host,
+                host,
                 &OfMessage::PacketOut {
                     in_port: PortNo::CONTROLLER,
                     frame: frame.encode(),
@@ -356,11 +476,7 @@ impl Controller {
             Err(_) => return true,
         };
         match &msg {
-            OfMessage::BarrierReply { xid } => {
-                if let Some(tx) = self.inner.barrier_waiters.lock().remove(xid) {
-                    let _ = tx.send(());
-                }
-            }
+            OfMessage::BarrierReply { xid } => self.complete_waiter(*xid),
             OfMessage::PortStatsReply(stats) => {
                 self.inner.port_stats.lock().insert(host, stats.clone());
             }
@@ -401,18 +517,23 @@ impl Controller {
                 Ok((t, _)) => t,
                 Err(_) => continue,
             };
-            if let Some(ControlTuple::MetricResp {
-                request_id,
-                task,
-                metrics,
-            }) = ControlTuple::from_tuple(&tuple)
-            {
-                // The worker's MAC prefix identifies its application.
-                let app_id = AppId(src.app());
-                let mut apps = self.inner.apps.lock();
-                for app in apps.iter_mut() {
-                    app.on_metric_resp(self, app_id, task, request_id, &metrics);
+            match ControlTuple::from_tuple(&tuple) {
+                Some(ControlTuple::MetricResp {
+                    request_id,
+                    task,
+                    metrics,
+                }) => {
+                    // The worker's MAC prefix identifies its application.
+                    let app_id = AppId(src.app());
+                    let mut apps = self.inner.apps.lock();
+                    for app in apps.iter_mut() {
+                        app.on_metric_resp(self, app_id, task, request_id, &metrics);
+                    }
                 }
+                Some(ControlTuple::FenceReply { request_id, .. }) => {
+                    self.complete_waiter(request_id as u32);
+                }
+                _ => {}
             }
         }
         let mut apps = self.inner.apps.lock();

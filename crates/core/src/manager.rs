@@ -16,6 +16,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::update::{plan_update, UpdatePlan};
 use crate::worker::{CheckpointSpec, IoConfig, Route};
 use crate::{CoreError, Result, ACKER_NODE};
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,11 +63,17 @@ pub struct ManagerConfig {
     pub ack_timeout: Duration,
     /// Max in-flight spout roots.
     pub max_pending: usize,
-    /// Wait for launched workers to become ready.
+    /// Wait for launched workers to become ready. Also the liveness bound
+    /// on a stable update's fences: a worker that has not answered by then
+    /// is treated as drained and counted in `reconfig.fence_timeouts`.
     pub ready_timeout: Duration,
-    /// Settling time after `SIGNAL` flushes before routing updates.
+    /// Unused: the stable update no longer sleeps after `SIGNAL`, it
+    /// awaits the workers' `FENCE` replies. Kept so configurations that
+    /// set or read it still build.
     pub signal_wait: Duration,
-    /// Drain time between rerouting and killing removed workers.
+    /// Unused: removed workers are killed once their `FENCE` reports every
+    /// predecessor's `DRAIN` marker, not after a fixed drain time. Kept so
+    /// configurations that set or read it still build.
     pub drain_wait: Duration,
     /// Placement strategy (ablation hook; Typhoon defaults to locality).
     pub scheduler: SchedulerKind,
@@ -102,6 +109,9 @@ impl Default for ManagerConfig {
 /// (session timeout + re-sync), far shorter than any test bound.
 const LEADER_WAIT: Duration = Duration::from_secs(5);
 
+/// A retired worker's MAC and the host it ran on.
+type Retired = (MacAddr, HostId);
+
 /// The streaming manager.
 pub struct StreamingManager {
     global: GlobalState,
@@ -109,6 +119,10 @@ pub struct StreamingManager {
     agents: BTreeMap<HostId, std::sync::Arc<WorkerAgent>>,
     config: ManagerConfig,
     next_app: Mutex<u16>,
+    /// Workers retired by a stable update whose source-address rules on
+    /// other hosts still stand; the next update deletes them (see
+    /// [`StreamingManager::execute_plan`]).
+    retired: (Sender<Retired>, Receiver<Retired>),
 }
 
 impl StreamingManager {
@@ -126,6 +140,7 @@ impl StreamingManager {
             agents,
             config,
             next_app: Mutex::with_rank(rank::CORE_APP_IDS, "core.manager.next_app", 1),
+            retired: crossbeam::channel::unbounded(), // LINT: allow-unbounded(one entry per worker retired since the last update, which drains them all)
         }
     }
 
@@ -297,12 +312,19 @@ impl StreamingManager {
         Ok(app)
     }
 
+    fn spout_tasks(logical: &LogicalTopology, physical: &PhysicalTopology) -> Vec<TaskId> {
+        logical
+            .nodes
+            .iter()
+            .filter(|n| n.kind == NodeKind::Spout)
+            .flat_map(|n| physical.tasks_of(&n.name))
+            .collect()
+    }
+
     fn activate_spouts(&self, app: AppId, logical: &LogicalTopology, physical: &PhysicalTopology) {
         let Ok(ctl) = self.ctl() else { return };
-        for node in logical.nodes.iter().filter(|n| n.kind == NodeKind::Spout) {
-            for task in physical.tasks_of(&node.name) {
-                ctl.send_control(app, task, &ControlTuple::Activate);
-            }
+        for task in Self::spout_tasks(logical, physical) {
+            ctl.send_control(app, task, &ControlTuple::Activate);
         }
     }
 
@@ -315,10 +337,38 @@ impl StreamingManager {
         physical: &PhysicalTopology,
     ) {
         let Ok(ctl) = self.ctl() else { return };
-        for node in logical.nodes.iter().filter(|n| n.kind == NodeKind::Spout) {
-            for task in physical.tasks_of(&node.name) {
-                ctl.send_control(app, task, &ControlTuple::Deactivate);
+        for task in Self::spout_tasks(logical, physical) {
+            ctl.send_control(app, task, &ControlTuple::Deactivate);
+        }
+    }
+
+    /// Fences workers and awaits their replies (stable update, §3.5): each
+    /// `(task, host, after)` answers once it has handled every control tuple sent
+    /// to it before and seen a `DRAIN` marker from every task in `after`.
+    /// A fence whose leader is deposed mid-wait is re-issued through the
+    /// successor. `ready_timeout` bounds the whole wait as a liveness guard
+    /// only: on expiry the update proceeds as it would have on a reply, and
+    /// `reconfig.fence_timeouts` counts each fence that never got one.
+    fn fence(&self, app: AppId, fences: Vec<(TaskId, HostId, Vec<TaskId>)>) {
+        let deadline = Instant::now() + self.config.ready_timeout;
+        let mut pending = fences;
+        let mut tried: Option<Controller> = None;
+        while !pending.is_empty() {
+            // Re-issue only through a leader that has not failed these yet.
+            let Ok(ctl) = self.ctl() else { break };
+            if tried.as_ref().is_some_and(|t| t.is_same(&ctl)) {
+                break;
             }
+            tried = Some(ctl.clone());
+            let left = deadline.saturating_duration_since(Instant::now());
+            let unanswered = ctl.fence_workers(app, pending.clone(), left);
+            pending.retain(|(task, _, _)| unanswered.contains(task));
+        }
+        if !pending.is_empty() {
+            self.plane
+                .registry()
+                .counter("reconfig.fence_timeouts")
+                .add(pending.len() as u64);
         }
     }
 
@@ -459,10 +509,13 @@ impl StreamingManager {
         }
         let plan = plan_update(&old_logical, &new_logical, &old_physical, &new_physical);
 
-        // 0. Pause the stream for relocations (pause-and-resume, §8).
+        // 0. Pause the stream for relocations (pause-and-resume, §8): the
+        //    spouts' fences return once each has stopped and flushed.
         if relocating {
             self.deactivate_spouts(app, &old_logical, &old_physical);
-            std::thread::sleep(self.config.signal_wait); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
+            let spouts = Self::spout_tasks(&old_logical, &old_physical);
+            let paused = spouts.into_iter().map(|t| (t, Vec::new()));
+            self.fence(app, Self::place_fences(&old_physical, paused));
         }
         // 1. Launch the new workers first (Fig. 6(a) step 1) — they are
         //    born with the *new* routing table.
@@ -478,23 +531,53 @@ impl StreamingManager {
         if let Some(acker) = acker {
             self.install_ack_rules(&new_physical, acker);
         }
-        self.execute_plan(app, &plan)?;
+        self.execute_plan(app, &old_physical, &plan)?;
         // Newly launched spout tasks (spout scale-up) need activation.
         self.activate_spouts(app, &new_logical, &new_physical);
         Ok(())
     }
 
+    /// Places each `(task, after)` fence on its task's host in `physical`.
+    /// A fence with an empty `after` returns once the worker has handled
+    /// every control tuple sent to it before.
+    fn place_fences(
+        physical: &PhysicalTopology,
+        fences: impl IntoIterator<Item = (TaskId, Vec<TaskId>)>,
+    ) -> Vec<(TaskId, HostId, Vec<TaskId>)> {
+        fences
+            .into_iter()
+            .filter_map(|(t, after)| physical.assignment(t).map(|a| (t, a.host, after)))
+            .collect()
+    }
+
     /// Applies the control-tuple + removal phases of a stable update.
-    fn execute_plan(&self, app: AppId, plan: &UpdatePlan) -> Result<()> {
+    /// `old_physical` places the tasks the plan retires: they have already
+    /// left the global state, but still run until killed here.
+    fn execute_plan(
+        &self,
+        app: AppId,
+        old_physical: &PhysicalTopology,
+        plan: &UpdatePlan,
+    ) -> Result<()> {
         let ctl = self.ctl()?;
-        // 3a. SIGNAL stateful workers so caches flush under old routing.
-        for &task in &plan.signals {
-            ctl.send_control(app, task, &ControlTuple::Signal);
+        // Source-address rules of workers an earlier update retired: a whole
+        // update has passed since their last frames left, ample time to
+        // cross a tunnel.
+        for (mac, ran_on) in self.retired.1.try_iter() {
+            for host in ctl.hosts().into_iter().filter(|&h| h != ran_on) {
+                ctl.send_flow_mod(host, FlowMod::delete(FlowMatch::any().dl_src(mac)));
+            }
         }
-        if !plan.signals.is_empty() {
-            std::thread::sleep(self.config.signal_wait); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
+        // 3a. SIGNAL stateful workers so caches flush under old routing;
+        //     each one's fence returns once it has flushed.
+        let signals =
+            Self::place_fences(old_physical, plan.signals.iter().map(|&t| (t, Vec::new())));
+        for (task, host, _) in &signals {
+            ctl.send_control_at(app, *task, *host, &ControlTuple::Signal);
         }
-        // 3b/3c. Re-route the predecessors via ROUTING control tuples.
+        self.fence(app, signals);
+        // 3b/3c. Re-route the predecessors via ROUTING control tuples. A
+        //        predecessor that drops a hop sends it a DRAIN marker.
         for (task, downstream, hops) in &plan.routing_updates {
             ctl.send_control(
                 app,
@@ -517,19 +600,29 @@ impl StreamingManager {
                 },
             );
         }
-        // 4. Drain, then retire removed workers and their rules.
-        if !plan.removals.is_empty() {
-            std::thread::sleep(self.config.drain_wait); // LINT: allow-sleep(drain wait before retiring removed workers)
-            for assignment in &plan.removals {
-                if let Ok(agent) = self.agent(assignment.host) {
-                    agent.kill(app, assignment.task);
-                }
-                let mac = MacAddr::worker(app.0, assignment.task);
-                for host in ctl.hosts() {
-                    ctl.send_flow_mod(host, FlowMod::delete(FlowMatch::any().dl_dst(mac)));
-                    ctl.send_flow_mod(host, FlowMod::delete(FlowMatch::any().dl_src(mac)));
-                }
+        // 4. Drain: each removed worker answers its fence after the last
+        //    tuple its predecessors sent it. Then retire it and its rules.
+        //    Rules matching its source address on other hosts wait for the
+        //    next update (or their idle timeout): its final frames may
+        //    still be crossing a tunnel to them.
+        self.fence(
+            app,
+            Self::place_fences(old_physical, plan.drains.iter().cloned()),
+        );
+        let ctl = self.ctl()?;
+        for assignment in &plan.removals {
+            if let Ok(agent) = self.agent(assignment.host) {
+                agent.kill(app, assignment.task);
             }
+            let mac = MacAddr::worker(app.0, assignment.task);
+            for host in ctl.hosts() {
+                ctl.send_flow_mod(host, FlowMod::delete(FlowMatch::any().dl_dst(mac)));
+            }
+            ctl.send_flow_mod(
+                assignment.host,
+                FlowMod::delete(FlowMatch::any().dl_src(mac)),
+            );
+            let _ = self.retired.0.send((mac, assignment.host));
         }
         Ok(())
     }

@@ -8,7 +8,10 @@
 //!   install their rules, *then* update predecessors' routing — so no
 //!   tuple is ever sent to a worker that cannot receive it.
 //! * **Stateless remove** (scale-down): update predecessors first, let the
-//!   victim drain, then kill it; its rules age out via idle timeout.
+//!   victim drain, then kill it. Each predecessor that drops the victim
+//!   from a unicast route sends it a `DRAIN` marker behind its last tuple;
+//!   the victim answers its `FENCE` only once every such marker arrived,
+//!   so the kill follows the last tuple ([`UpdatePlan::drains`]).
 //! * **Stateful update** (Fig. 6(b)): additionally inject `SIGNAL` tuples
 //!   so the stateful workers flush their in-memory caches before the
 //!   routing change (and before being killed).
@@ -39,6 +42,12 @@ pub struct UpdatePlan {
     /// Step 4: workers to drain and remove, after predecessors stopped
     /// sending to them.
     pub removals: Vec<TaskAssignment>,
+    /// Step 4's fences, one per removal: `(removed task, predecessor tasks
+    /// whose DRAIN markers it must see first)`. Only predecessors that
+    /// reach it over a unicast edge are listed; broadcast and SDN-offloaded
+    /// members leave their groups with the new-shape rule install, which
+    /// precedes the fence.
+    pub drains: Vec<(TaskId, Vec<TaskId>)>,
 }
 
 impl UpdatePlan {
@@ -111,6 +120,27 @@ pub fn plan_update(
                 }
             }
         }
+    }
+
+    // Every predecessor that drops a removed task from a unicast route
+    // marks the end of its stream there. Hop updates go out before policy
+    // updates, so the predecessor still runs the old edge's policy.
+    for removed in &plan.removals {
+        let after = plan
+            .routing_updates
+            .iter()
+            .filter(|(pred, node, hops)| {
+                *node == removed.node
+                    && !hops.contains(&removed.task)
+                    && old_physical.assignment(*pred).is_some_and(|p| {
+                        old_logical.edges.iter().any(|e| {
+                            e.from == p.node && e.to == removed.node && e.grouping.is_unicast()
+                        })
+                    })
+            })
+            .map(|(pred, _, _)| *pred)
+            .collect();
+        plan.drains.push((removed.task, after));
     }
 
     // Grouping (routing-policy) changes on surviving edges.
@@ -225,6 +255,28 @@ mod tests {
         assert_eq!(node, "split");
         assert_eq!(hops.len(), 1);
         assert!(!hops.contains(&victim), "victim is out of the hop set");
+        // The victim's fence waits for the marker of its only predecessor.
+        let input = old_physical.tasks_of("input");
+        assert_eq!(plan.drains, vec![(victim, input)]);
+    }
+
+    #[test]
+    fn broadcast_members_are_fenced_without_markers() {
+        let logical = LogicalTopology::builder("fan")
+            .spout("src", "s", 1, typhoon_model::Fields::new(["n"]))
+            .bolt("sink", "k", 3, typhoon_model::Fields::new(["n"]))
+            .edge("src", "sink", Grouping::All)
+            .build()
+            .unwrap();
+        let old_physical = schedule(&logical);
+        let mut new_logical = logical.clone();
+        new_logical.node_mut("sink").unwrap().parallelism = 2;
+        let mut new_physical = old_physical.clone();
+        let victim = *old_physical.tasks_of("sink").last().unwrap();
+        new_physical.assignments.retain(|a| a.task != victim);
+        let plan = plan_update(&logical, &new_logical, &old_physical, &new_physical);
+        assert_eq!(plan.routing_updates.len(), 1, "the source still shrinks");
+        assert_eq!(plan.drains, vec![(victim, vec![])]);
     }
 
     #[test]

@@ -240,20 +240,28 @@ impl FrameworkLayer {
     }
 
     /// Applies a `ROUTING` control tuple: replace `nextHops` and/or the
-    /// routing policy for the edge toward `downstream` (§3.3.2).
+    /// routing policy for the edge toward `downstream` (§3.3.2). Returns
+    /// `None` when no route leads to `downstream`, else the hops this update
+    /// dropped from unicast routes: each one is owed a `DRAIN` marker
+    /// (stable update, §3.5).
     pub fn apply_routing(
         &mut self,
         downstream: &str,
         next_hops: Option<Vec<TaskId>>,
         policy: Option<(Grouping, Vec<usize>)>,
-    ) -> bool {
+    ) -> Option<Vec<TaskId>> {
         let mut applied = false;
+        let mut dropped = Vec::new();
         for route in self
             .routes
             .iter_mut()
             .filter(|r| r.downstream == downstream)
         {
             if let Some(hops) = &next_hops {
+                if route.state.policy().is_unicast() {
+                    let old = route.state.next_hops();
+                    dropped.extend(old.iter().filter(|t| !hops.contains(t)));
+                }
                 route.state.set_next_hops(hops.clone());
                 applied = true;
             }
@@ -264,10 +272,13 @@ impl FrameworkLayer {
                 applied = true;
             }
         }
-        if applied {
-            self.registry.counter("control.routing_applied").inc();
+        if !applied {
+            return None;
         }
-        applied
+        self.registry.counter("control.routing_applied").inc();
+        dropped.sort_unstable();
+        dropped.dedup();
+        Some(dropped)
     }
 
     /// Classifies an incoming decoded tuple.
@@ -381,7 +392,8 @@ mod tests {
     #[test]
     fn routing_control_updates_next_hops_in_place() {
         let mut fw = layer(Grouping::Shuffle, vec![1, 2]);
-        assert!(fw.apply_routing("sink", Some(vec![TaskId(1), TaskId(2), TaskId(3)]), None));
+        let dropped = fw.apply_routing("sink", Some(vec![TaskId(1), TaskId(2), TaskId(3)]), None);
+        assert_eq!(dropped, Some(vec![]), "growing drops no hop");
         let seen: std::collections::HashSet<MacAddr> = (0..3)
             .map(|_| fw.route(data_tuple(), false)[0].dst)
             .collect();
@@ -391,7 +403,9 @@ mod tests {
     #[test]
     fn routing_control_updates_policy_type() {
         let mut fw = layer(Grouping::Fields(vec!["k".into()]), vec![1, 2]);
-        assert!(fw.apply_routing("sink", None, Some((Grouping::Shuffle, vec![]))));
+        assert!(fw
+            .apply_routing("sink", None, Some((Grouping::Shuffle, vec![])))
+            .is_some());
         let a = fw.route(data_tuple(), false)[0].dst;
         let b = fw.route(data_tuple(), false)[0].dst;
         assert_ne!(a, b, "shuffle alternates identical keys");
@@ -400,7 +414,22 @@ mod tests {
     #[test]
     fn routing_update_for_unknown_downstream_is_a_noop() {
         let mut fw = layer(Grouping::Shuffle, vec![1]);
-        assert!(!fw.apply_routing("ghost", Some(vec![]), None));
+        assert!(fw.apply_routing("ghost", Some(vec![]), None).is_none());
+    }
+
+    #[test]
+    fn shrinking_a_unicast_route_reports_the_dropped_hops() {
+        let mut fw = layer(Grouping::Shuffle, vec![1, 2, 3]);
+        assert_eq!(
+            fw.apply_routing("sink", Some(vec![TaskId(2)]), None),
+            Some(vec![TaskId(1), TaskId(3)])
+        );
+        // Broadcast members get no marker: it would not follow their data.
+        let mut fw = layer(Grouping::All, vec![1, 2, 3]);
+        assert_eq!(
+            fw.apply_routing("sink", Some(vec![TaskId(1)]), None),
+            Some(vec![])
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub use framework::{Addressed, Classified, FrameworkLayer, Route};
 pub use io::{IoConfig, IoLayer};
 
 use crate::checkpoint::{CheckpointStore, DedupLedger};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,6 +137,10 @@ struct WorkerCtx {
     // tracing
     trace: TraceCtx,
     current_trace: u64,
+    // stable update (§3.5): predecessors whose latest tuple here was a
+    // DRAIN marker, and fences still waiting on some of them
+    drained: HashSet<TaskId>,
+    fences: Vec<(u64, Vec<TaskId>)>,
 }
 
 impl WorkerCtx {
@@ -198,7 +203,70 @@ impl WorkerCtx {
         }
     }
 
-    fn handle_control(&mut self, ct: ControlTuple, bolt: Option<&mut Box<dyn Bolt>>) {
+    /// Sends a `DRAIN` marker to each hop a `ROUTING` update dropped,
+    /// behind everything already batched for it, and flushes: per (source,
+    /// destination) ring, switch and tunnel are FIFO, so the marker tells
+    /// the hop that nothing more from this worker is on its way.
+    fn send_drain_markers(&mut self, dropped: &[TaskId]) {
+        if dropped.is_empty() {
+            return;
+        }
+        let marker = ControlTuple::Drain.to_tuple(self.config.task);
+        for &hop in dropped {
+            let a = self.fw.direct(&marker, hop);
+            self.io.enqueue(a.dst, a.blob, 0);
+        }
+        self.io.flush_all();
+        self.shared
+            .registry
+            .counter("control.drain_sent")
+            .add(dropped.len() as u64);
+    }
+
+    /// A data tuple from `src` arrived: if `src` had drained toward this
+    /// worker, it has since routed here again, so its old marker no longer
+    /// covers what it sends.
+    fn note_data(&mut self, src: TaskId) {
+        if !self.drained.is_empty() {
+            self.drained.remove(&src);
+        }
+    }
+
+    /// Answers every fence whose drain markers have all arrived. Before
+    /// replying, the worker flushes its out-batches, so the reply leaves
+    /// behind every tuple it made. A drain fence (one that waited for
+    /// markers: this worker is being retired) first runs `save` too, a
+    /// checkpointing bolt's final save, so its withheld acks leave ahead
+    /// of the reply. A fence that only orders skips the save: a SIGNAL
+    /// fence reaches every stateful task and would force a checkpoint on
+    /// each.
+    fn answer_fences(&mut self, save: impl FnOnce(&mut WorkerCtx)) {
+        let drained = &self.drained;
+        let (ready, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.fences)
+            .into_iter()
+            .partition(|(_, after)| after.iter().all(|t| drained.contains(t)));
+        self.fences = waiting;
+        if ready.is_empty() {
+            return;
+        }
+        if ready.iter().any(|(_, after)| !after.is_empty()) {
+            save(self);
+        }
+        self.io.flush_all();
+        for (request_id, _) in ready {
+            let reply = ControlTuple::FenceReply {
+                request_id,
+                task: self.config.task,
+            }
+            .to_tuple(self.config.task);
+            let a = self.fw.to_controller(&reply);
+            self.io.enqueue(a.dst, a.blob, 0);
+            self.shared.registry.counter("control.fence_answered").inc();
+        }
+        self.io.flush_all();
+    }
+
+    fn handle_control(&mut self, src: TaskId, ct: ControlTuple, bolt: Option<&mut Box<dyn Bolt>>) {
         self.shared.registry.counter("control.received").inc();
         match ct {
             ControlTuple::Routing {
@@ -206,8 +274,15 @@ impl WorkerCtx {
                 next_hops,
                 policy,
             } => {
-                self.fw.apply_routing(&downstream, next_hops, policy);
+                if let Some(dropped) = self.fw.apply_routing(&downstream, next_hops, policy) {
+                    self.send_drain_markers(&dropped);
+                }
             }
+            ControlTuple::Drain => {
+                self.drained.insert(src);
+                self.shared.registry.counter("control.drain_received").inc();
+            }
+            ControlTuple::Fence { request_id, after } => self.fences.push((request_id, after)),
             ControlTuple::Signal => {
                 if let Some(bolt) = bolt {
                     // The stateful flush of Listing 2 / Fig. 6(b): emitted
@@ -253,7 +328,9 @@ impl WorkerCtx {
             ControlTuple::Activate => self.active = true,
             ControlTuple::Deactivate => self.active = false,
             ControlTuple::BatchSize { size } => self.io.set_batch_size(size as usize),
-            ControlTuple::MetricResp { .. } => { /* controller-bound only */ }
+            ControlTuple::MetricResp { .. } | ControlTuple::FenceReply { .. } => {
+                /* controller-bound only */
+            }
             ControlTuple::Replay => { /* spout-only; handled in run_spout */ }
             ControlTuple::Restate => {
                 // Crash recovery: emissions this bolt made toward a task
@@ -347,6 +424,8 @@ pub fn run_worker(
         pending: std::collections::HashMap::new(),
         trace,
         current_trace: 0,
+        drained: HashSet::new(),
+        fences: Vec::new(),
         config,
         fw,
         io,
@@ -414,7 +493,7 @@ fn run_spout(ctx: &mut WorkerCtx, mut spout: Box<dyn Spout>) {
                         }
                     }
                 }
-                Classified::Control(ct) => ctx.handle_control(ct, None),
+                Classified::Control(ct) => ctx.handle_control(tuple.meta.src_task, ct, None),
                 Classified::AckResult => {
                     let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
                     let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
@@ -435,6 +514,9 @@ fn run_spout(ctx: &mut WorkerCtx, mut spout: Box<dyn Spout>) {
                 }
                 _ => {}
             }
+        }
+        if !ctx.fences.is_empty() {
+            ctx.answer_fences(|_| {});
         }
         // The acker notifies completion/failure exactly once; if that
         // notification frame is lost (a faulty tunnel), the root would
@@ -672,8 +754,11 @@ fn run_bolt(ctx: &mut WorkerCtx, mut bolt: Box<dyn Bolt>) {
         for tuple in tuples {
             busy = true;
             match ctx.fw.classify(&tuple) {
-                Classified::Control(ct) => ctx.handle_control(ct, Some(&mut bolt)),
+                Classified::Control(ct) => {
+                    ctx.handle_control(tuple.meta.src_task, ct, Some(&mut bolt))
+                }
                 Classified::Data => {
+                    ctx.note_data(tuple.meta.src_task);
                     ctx.shared.registry.counter("tuples.received").inc();
                     ctx.shared.meter.mark(1);
                     let input_id = tuple.meta.message_id;
@@ -707,6 +792,13 @@ fn run_bolt(ctx: &mut WorkerCtx, mut bolt: Box<dyn Bolt>) {
                 }
                 _ => {}
             }
+        }
+        if !ctx.fences.is_empty() {
+            ctx.answer_fences(|ctx| {
+                if let Some(c) = ckpt.as_mut() {
+                    c.save_now(ctx, bolt.as_ref());
+                }
+            });
         }
         if let Some(c) = ckpt.as_mut() {
             c.tick(ctx, bolt.as_ref());

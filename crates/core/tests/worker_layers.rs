@@ -214,6 +214,10 @@ fn routing_control_tuple_rewires_a_live_worker() {
         assert!(Instant::now() < deadline, "ROUTING never applied");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // The dropped hop gets one DRAIN marker, behind everything sent to it.
+    let marker = recv_tuple(&downstream, Duration::from_secs(5)).expect("drain marker");
+    assert_eq!(marker.meta.stream, StreamId::CTRL_DRAIN);
+    assert_eq!(marker.meta.src_task, TaskId(1));
     // Now the echo goes to task 3 instead of task 2.
     inject(&upstream, vec![Value::Int(9)], StreamId::DEFAULT);
     let rerouted = recv_tuple(&upstream, Duration::from_secs(5)).expect("rerouted");

@@ -42,6 +42,17 @@ impl Grouping {
             Grouping::SdnOffloaded => "sdn",
         }
     }
+
+    /// True when the worker addresses each tuple to the task that receives
+    /// it (shuffle, fields, global). Only then does a frame addressed to
+    /// one hop follow that hop's data, FIFO: broadcast replicas go through
+    /// the group's rule and SDN-offloaded frames are rewritten by the switch.
+    pub fn is_unicast(&self) -> bool {
+        matches!(
+            self,
+            Grouping::Shuffle | Grouping::Fields(_) | Grouping::Global
+        )
+    }
 }
 
 /// The routing decision for one tuple.

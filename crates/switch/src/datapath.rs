@@ -247,8 +247,15 @@ impl Switch {
     }
 
     /// Detaches a worker (deliberate kill) and notifies the controller.
+    /// Frames the worker pushed before it stopped — its final flush, e.g.
+    /// the acks a checkpointing bolt releases on shutdown — are forwarded
+    /// first, so a graceful kill loses none of them.
     pub fn detach_worker(&self, port: PortNo) {
-        if self.inner.ports.lock().detach(port) {
+        let left = self.inner.ports.lock().detach(port);
+        if let Some(frames) = left {
+            if !frames.is_empty() {
+                self.process_frames(port, frames);
+            }
             self.send_event(OfMessage::PortStatus {
                 reason: PortStatusReason::Delete,
                 port,
@@ -982,6 +989,31 @@ mod tests {
         assert_eq!(got.payload[0], 0xaa);
         assert_eq!(got.dst, w(20));
         assert_eq!(sw.miss_count(), 0);
+    }
+
+    #[test]
+    fn detach_forwards_frames_the_worker_flushed_last() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        sw.process_round();
+        const N: u8 = 50;
+        for n in 0..N {
+            wp1.tx.push(data_frame(10, w(20), n)).unwrap();
+        }
+        // The worker stops and the agent detaches before any poll round.
+        drop(wp1);
+        sw.detach_worker(PortNo(1));
+        let mut got = Vec::new();
+        while let Ok(Some(f)) = wp2.rx.pop() {
+            got.push(f.payload[0]);
+        }
+        assert_eq!(
+            got,
+            (0..N).collect::<Vec<_>>(),
+            "every frame forwarded, in order"
+        );
     }
 
     #[test]

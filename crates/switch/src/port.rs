@@ -67,9 +67,14 @@ impl Ports {
         }
     }
 
-    /// Detaches a port (worker kill), closing its rings.
-    pub(crate) fn detach(&mut self, port: PortNo) -> bool {
-        self.entries.remove(&port).is_some()
+    /// Detaches a port (worker kill), closing its rings. Returns `None`
+    /// when nothing was attached, else every frame the worker had pushed
+    /// that no poll has read yet — the caller still owes them forwarding.
+    pub(crate) fn detach(&mut self, port: PortNo) -> Option<Vec<Frame>> {
+        let entry = self.entries.remove(&port)?;
+        let mut left = Vec::new();
+        let _ = entry.from_worker.pop_batch(&mut left, usize::MAX);
+        Some(left)
     }
 
     /// Sends a frame out `port`, updating TX stats. Overflow counts as a
@@ -207,6 +212,19 @@ mod tests {
         let dead = ports.poll(8, &mut out);
         assert_eq!(dead, vec![PortNo(3)]);
         assert!(ports.entries.is_empty(), "dead port removed");
+    }
+
+    #[test]
+    fn detach_hands_back_unread_frames() {
+        let mut ports = Ports::new(16);
+        let wp = ports.attach(PortNo(4));
+        for i in 0..3 {
+            wp.tx.push(frame(i)).unwrap();
+        }
+        drop(wp);
+        let left = ports.detach(PortNo(4)).expect("was attached");
+        assert_eq!(left.len(), 3);
+        assert!(ports.detach(PortNo(4)).is_none());
     }
 
     #[test]

@@ -54,16 +54,23 @@ impl StreamId {
     /// (correctly) refuses to re-fold the replays that would regenerate
     /// them — the snapshot re-emission re-converges latest-wins consumers.
     pub const CTRL_RESTATE: StreamId = StreamId(13);
+    /// `FENCE` control stream (stable update, §3.5): the controller asks a
+    /// worker to acknowledge once it has drained, and the worker's reply
+    /// travels back on the same stream by `PacketIn`.
+    pub const CTRL_FENCE: StreamId = StreamId(14);
+    /// Drain marker stream: a predecessor that dropped a hop from its
+    /// routing sends one marker to that hop, behind the last tuple it sent
+    /// there.
+    pub const CTRL_DRAIN: StreamId = StreamId(15);
 
     /// First stream ID available to applications.
     pub const FIRST_USER: StreamId = StreamId(16);
 
     /// True for the framework-reserved control streams (Table 2 plus the
-    /// recovery extension).
+    /// recovery and stable-update extensions).
     pub fn is_control(self) -> bool {
         (Self::CTRL_ROUTING.0..=Self::CTRL_BATCH_SIZE.0).contains(&self.0)
-            || self == Self::CTRL_REPLAY
-            || self == Self::CTRL_RESTATE
+            || (Self::CTRL_REPLAY.0..=Self::CTRL_DRAIN.0).contains(&self.0)
     }
 
     /// True for acker coordination streams.
@@ -96,6 +103,8 @@ impl fmt::Display for StreamId {
             StreamId::DEBUG_MIRROR => write!(f, "debug:mirror"),
             StreamId::CTRL_REPLAY => write!(f, "ctrl:replay"),
             StreamId::CTRL_RESTATE => write!(f, "ctrl:restate"),
+            StreamId::CTRL_FENCE => write!(f, "ctrl:fence"),
+            StreamId::CTRL_DRAIN => write!(f, "ctrl:drain"),
             StreamId(n) => write!(f, "stream:{n}"),
         }
     }
@@ -185,6 +194,8 @@ mod tests {
         assert!(StreamId::CTRL_BATCH_SIZE.is_control());
         assert!(StreamId::CTRL_REPLAY.is_control());
         assert!(StreamId::CTRL_RESTATE.is_control());
+        assert!(StreamId::CTRL_FENCE.is_control());
+        assert!(StreamId::CTRL_DRAIN.is_control());
         assert!(!StreamId::DEFAULT.is_control());
         assert!(!StreamId::ACK.is_control());
         assert!(!StreamId::FIRST_USER.is_control());

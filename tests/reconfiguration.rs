@@ -296,3 +296,191 @@ fn stateful_update_flushes_cache_before_rerouting() {
     );
     cluster.shutdown();
 }
+
+/// A relay that spends about 1 ms on every tuple, so a burst leaves a
+/// long backlog queued at its input.
+struct SlowRelay;
+
+impl Bolt for SlowRelay {
+    fn execute(&mut self, input: Tuple, out: &mut dyn Emitter) {
+        std::thread::sleep(Duration::from_millis(1));
+        out.emit(input.values);
+    }
+}
+
+/// The burst [`backlog_setup`]'s spout emits.
+const BURST: i64 = 3_000;
+
+/// A 3000-tuple burst through three [`SlowRelay`]s (batch size 1, 2 hosts,
+/// unacked), running once the first tuple reached the sink.
+fn backlog_setup(config: TyphoonConfig) -> (TyphoonCluster, TyphoonTopologyHandle, SeqSet) {
+    let set = SeqSet::default();
+    let mut reg = ComponentRegistry::new();
+    reg.register_spout("seq", || Seq {
+        next: 0,
+        limit: BURST,
+    });
+    reg.register_bolt("slow", || SlowRelay);
+    let s = set.clone();
+    reg.register_bolt("collect", move || Collect { set: s.clone() });
+    let topo = LogicalTopology::builder("backlog")
+        .spout("src", "seq", 1, Fields::new(["n"]))
+        .bolt("mid", "slow", 3, Fields::new(["n"]))
+        .bolt("out", "collect", 1, Fields::new(["n"]))
+        .edge("src", "mid", Grouping::Shuffle)
+        .edge("mid", "out", Grouping::Global)
+        .build()
+        .unwrap();
+    let cluster = TyphoonCluster::new(config.with_batch_size(1), reg).unwrap();
+    let handle = cluster.submit(topo).unwrap();
+    assert!(wait_until(Duration::from_secs(10), || !set
+        .seen
+        .lock()
+        .is_empty()));
+    (cluster, handle, set)
+}
+
+fn shrink_mid() -> ReconfigRequest {
+    ReconfigRequest::single(
+        "backlog",
+        ReconfigOp::SetParallelism {
+            node: "mid".into(),
+            parallelism: 1,
+        },
+    )
+}
+
+fn assert_burst_complete(set: &SeqSet) {
+    let complete = wait_until(Duration::from_secs(60), || {
+        set.seen.lock().len() >= BURST as usize
+    });
+    let mut seen = set.seen.lock().clone();
+    seen.sort_unstable();
+    seen.dedup();
+    assert!(
+        complete && seen.len() == BURST as usize,
+        "tuples lost: {} of {BURST} distinct arrived",
+        seen.len()
+    );
+}
+
+#[test]
+fn scale_down_with_backlog_loses_nothing() {
+    // About 1 s of queued input per relay when the scale-down lands: the
+    // retired relays may be killed only after their predecessor's last
+    // tuple, however long that takes to work off.
+    let (cluster, handle, set) = backlog_setup(TyphoonConfig::new(2));
+    handle.reconfigure(shrink_mid()).unwrap();
+    assert_eq!(handle.tasks_of("mid").len(), 1);
+    assert_burst_complete(&set);
+    cluster.shutdown();
+}
+
+#[test]
+fn drain_fence_is_reissued_through_the_successor_leader() {
+    // The leader dies while the retired relays are still working off
+    // their backlog; the successor re-issues their fences, and the kill
+    // still follows the last tuple.
+    let (cluster, handle, set) = backlog_setup(TyphoonConfig::new(2).with_controller_replicas(2));
+    let src = handle.worker(handle.tasks_of("src")[0]).unwrap();
+    let updater = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.reconfigure(shrink_mid()))
+    };
+    // The markers leave right after the ROUTING update, and the fences
+    // right after them.
+    assert!(wait_until(Duration::from_secs(10), || src
+        .registry
+        .snapshot()
+        .counter("control.drain_sent")
+        == 2));
+    assert!(cluster.control_plane().crash_leader().is_some());
+    updater
+        .join()
+        .unwrap()
+        .expect("reconfiguration survives the failover");
+    assert_eq!(handle.tasks_of("mid").len(), 1);
+    assert_burst_complete(&set);
+    let plane = cluster.control_plane().registry().snapshot();
+    assert_eq!(plane.counter("controller.ha.failovers"), 1);
+    assert_eq!(plane.counter("reconfig.fence_timeouts"), 0);
+    cluster.shutdown();
+}
+
+/// [`Seq`] at a few thousand tuples/s: the stream is still flowing when
+/// the reconfiguration lands, and leaves the CPU to the other tests.
+struct Paced {
+    seq: Seq,
+}
+
+impl Spout for Paced {
+    fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
+        std::thread::sleep(Duration::from_millis(1));
+        self.seq.next_batch(out)
+    }
+}
+
+#[test]
+fn broadcast_scale_in_fences_without_markers() {
+    // Grouping::All members take no drain marker (a unicast frame to one
+    // would miss the flow table); their fence follows the new-shape rule
+    // install instead, which already took them out of the group.
+    const STREAM: i64 = 8_000;
+    let logs: Arc<Mutex<Vec<SeqSet>>> = Arc::default();
+    let mut reg = ComponentRegistry::new();
+    reg.register_spout("seq", || Paced {
+        seq: Seq {
+            next: 0,
+            limit: STREAM,
+        },
+    });
+    let l = logs.clone();
+    reg.register_bolt("collect", move || {
+        let set = SeqSet::default();
+        l.lock().push(set.clone());
+        Collect { set }
+    });
+    let topo = LogicalTopology::builder("fanout")
+        .spout("src", "seq", 1, Fields::new(["n"]))
+        .bolt("sink", "collect", 3, Fields::new(["n"]))
+        .edge("src", "sink", Grouping::All)
+        .build()
+        .unwrap();
+    let cluster = TyphoonCluster::new(TyphoonConfig::new(2).with_batch_size(10), reg).unwrap();
+    let handle = cluster.submit(topo).unwrap();
+    let delivered = || -> usize { logs.lock().iter().map(|s| s.seen.lock().len()).sum() };
+    assert!(wait_until(Duration::from_secs(5), || delivered() > 0));
+    handle
+        .reconfigure(ReconfigRequest::single(
+            "fanout",
+            ReconfigOp::SetParallelism {
+                node: "sink".into(),
+                parallelism: 2,
+            },
+        ))
+        .expect("broadcast scale-in completes");
+    assert_eq!(handle.tasks_of("sink").len(), 2);
+    // The stream keeps flowing to the survivors after the update.
+    assert!(
+        wait_until(Duration::from_secs(30), || logs.lock().iter().any(|s| s
+            .seen
+            .lock()
+            .last()
+            == Some(&(STREAM - 1)))),
+        "the stream stalled after the scale-in"
+    );
+    for (i, set) in logs.lock().iter().enumerate() {
+        let seen = set.seen.lock();
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "sink instance {i} saw a seq twice or out of order"
+        );
+    }
+    let timeouts = cluster
+        .control_plane()
+        .registry()
+        .snapshot()
+        .counter("reconfig.fence_timeouts");
+    assert_eq!(timeouts, 0, "a broadcast member's fence ran to its ceiling");
+    cluster.shutdown();
+}
